@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -413,7 +414,8 @@ func TestEngineConcurrentExecs(t *testing.T) {
 // TestEngineCancellationMultiStage: cancelling between the feeder stages
 // and the joining stage of a PUSH-JOIN plan must release the buffered join
 // relations — live-tuple accounting returns to zero and spill temp files
-// are removed — across a sweep of cancellation points.
+// are removed — across a sweep of cancellation points, and cancelling while
+// a machine is parked idle must end the run promptly.
 func TestEngineCancellationMultiStage(t *testing.T) {
 	g := gen.PowerLaw(600, 5, 13)
 	q := query.Q7()
@@ -441,6 +443,49 @@ func TestEngineCancellationMultiStage(t *testing.T) {
 		if live := ex.Metrics.LiveTuples(); live != 0 {
 			t.Fatalf("delay %v: live tuples = %d after cancellation, want 0", delay, live)
 		}
+	}
+
+	// Cancel while a machine is parked idle. The first result blocks its
+	// machine in OnResult until cancellation; the peer finishes everything
+	// else, stealing what it can, and parks. Once the result count stops
+	// moving, cancel: Run must return the context error promptly.
+	small := gen.PowerLaw(40, 2, 13)
+	df, err = plan.Translate(plan.SEEDPlan(q, plan.MomentEstimator(plan.ComputeStats(small))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex := cluster.New(small, cluster.Config{NumMachines: 2, Workers: 2, CacheKind: cache.LRBU}).NewExec()
+	ctx, cancel := context.WithCancel(context.Background())
+	var gated atomic.Bool
+	var results atomic.Int64
+	blocked := make(chan struct{})
+	cfg := Config{BatchRows: 32, QueueRows: 128, JoinBufferRows: 16, OnResult: func([]graph.VertexID) {
+		if gated.CompareAndSwap(false, true) {
+			close(blocked)
+			<-ctx.Done()
+		}
+		results.Add(1)
+	}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Run(ctx, ex, df, cfg)
+		done <- err
+	}()
+	<-blocked
+	for last := int64(-1); results.Load() != last; time.Sleep(20 * time.Millisecond) {
+		last = results.Load()
+	}
+	cancel()
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("parked cancel: err = %v, want context.Canceled", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked cancel: Run did not return within 5s of cancellation")
+	}
+	if live := ex.Metrics.LiveTuples(); live != 0 {
+		t.Fatalf("parked cancel: live tuples = %d after cancellation, want 0", live)
 	}
 	if after := countSpillFiles(t); after > spillsBefore {
 		t.Fatalf("spill files leaked: %d before, %d after", spillsBefore, after)

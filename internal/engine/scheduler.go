@@ -3,10 +3,9 @@ package engine
 import (
 	"context"
 	"hash/maphash"
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/dataflow"
@@ -16,6 +15,16 @@ import (
 // termination (no active source, no pending batch anywhere) so that
 // inter-machine thieves know when to stop, and watches the run's context
 // so a cancelled query drains instead of completing.
+//
+// A machine that has run out of local work parks on a broadcast channel
+// until something changes. Every event that can end its wait wakes it: stealable
+// work enqueued while some machine is idle, pendingBatches or sourcesActive
+// reaching zero (the stage may be done), and the first error. A parked
+// machine registers in idle and takes the channel before it re-checks
+// termination and tries to steal, so an event that lands after those checks
+// closes the channel it is about to block on and no wakeup is lost. The idle
+// count keeps the producer side to one atomic load while every machine is
+// busy.
 type stageExec struct {
 	eng            *Engine
 	st             *dataflow.Stage
@@ -25,10 +34,45 @@ type stageExec struct {
 	sourcesActive  atomic.Int64
 	errMu          sync.Mutex
 	firstErr       error
+
+	idle   atomic.Int32 // machines parked in loop's idle wait
+	wakeMu sync.Mutex
+	wake   chan struct{} // made by wakeChan, closed and cleared by signal
 }
 
+// wakeChan returns the channel the next signal closes.
+func (ex *stageExec) wakeChan() <-chan struct{} {
+	ex.wakeMu.Lock()
+	defer ex.wakeMu.Unlock()
+	if ex.wake == nil {
+		ex.wake = make(chan struct{})
+	}
+	return ex.wake
+}
+
+// signal wakes every parked machine. The channel is made lazily by the first
+// wakeChan after a signal, so a stage with no parked machine never allocates
+// one and a run of signals between two parks closes it only once.
+func (ex *stageExec) signal() {
+	ex.wakeMu.Lock()
+	if ex.wake != nil {
+		close(ex.wake)
+		ex.wake = nil
+	}
+	ex.wakeMu.Unlock()
+}
+
+// wakeIdle signals only when some machine is parked — the hot-path form,
+// one atomic load while every machine is busy.
+func (ex *stageExec) wakeIdle() {
+	if ex.idle.Load() > 0 {
+		ex.signal()
+	}
+}
+
+// done reports global termination: no active source, no pending batch.
 func (ex *stageExec) done() bool {
-	return ex.sourcesActive.Load() == 0 && ex.pendingBatches.Load() == 0 && ex.firstErrFast() == nil
+	return ex.sourcesActive.Load() == 0 && ex.pendingBatches.Load() == 0
 }
 
 // stopped reports that the run's match budget is exhausted: operators halt
@@ -53,10 +97,14 @@ func (ex *stageExec) err() error { return ex.firstErrFast() }
 
 func (ex *stageExec) setErr(err error) {
 	ex.errMu.Lock()
-	if ex.firstErr == nil {
+	first := ex.firstErr == nil
+	if first {
 		ex.firstErr = err
 	}
 	ex.errMu.Unlock()
+	if first {
+		ex.signal()
+	}
 }
 
 // machineRun executes a stage's line of operators on one machine, under the
@@ -89,7 +137,7 @@ func newMachineRun(ex *stageExec, m *cluster.MachineExec, src sourceIter) *machi
 		source: src,
 		queues: make([][]*dataflow.Batch, e+1),
 		qrows:  make([]int64, e+1),
-		rng:    rand.New(rand.NewSource(int64(m.ID)*7919 + 13)),
+		rng:    rand.New(rand.NewPCG(uint64(m.ID)*7919+13, 0)),
 	}
 }
 
@@ -113,6 +161,7 @@ func (r *machineRun) enqueue(op int, b *dataflow.Batch) {
 	r.queues[op] = append(r.queues[op], b)
 	r.qrows[op] += rows
 	r.mu.Unlock()
+	r.ex.wakeIdle()
 }
 
 // enqueueStolen re-homes batches without touching global accounting (they
@@ -124,6 +173,7 @@ func (r *machineRun) enqueueStolen(op int, bs []*dataflow.Batch) {
 		r.qrows[op] += int64(b.Rows())
 	}
 	r.mu.Unlock()
+	r.ex.wakeIdle()
 }
 
 func (r *machineRun) dequeue(op int) *dataflow.Batch {
@@ -148,8 +198,18 @@ func (r *machineRun) dequeue(op int) *dataflow.Batch {
 // every downstream consumer has copied what it keeps.
 func (r *machineRun) batchProcessed(b *dataflow.Batch) {
 	r.ex.eng.ex.Metrics.AddLiveTuples(-int64(b.Rows()))
-	r.ex.pendingBatches.Add(-1)
+	if r.ex.pendingBatches.Add(-1) == 0 {
+		r.ex.wakeIdle()
+	}
 	b.Recycle()
+}
+
+// retireSource marks this machine's source exhausted (or halted).
+func (r *machineRun) retireSource() {
+	r.sourceDone = true
+	if r.ex.sourcesActive.Add(-1) == 0 {
+		r.ex.wakeIdle()
+	}
 }
 
 // pickOp chooses the next operator: the deepest operator with input, else
@@ -186,31 +246,36 @@ func (r *machineRun) loop() {
 	if r.ex.eng.cfg.LoadBalance != LBSteal || len(r.ex.runs) == 1 {
 		return
 	}
-	// Idle backoff: when no victim has stealable work, sleep with
-	// exponential growth (reset on a successful steal) instead of spinning
-	// at a fixed 100µs — under high-concurrency serving, dozens of idle
-	// machine loops polling flat-out burn CPU that concurrent queries need.
-	const (
-		idleMin = 100 * time.Microsecond
-		idleMax = time.Millisecond
-	)
-	idle := idleMin
-	for !r.ex.done() {
+	// Steal until the stage is globally done. Between steals the machine
+	// parks (see stageExec): it registers as idle and takes the wake channel
+	// first, then re-checks for an error, for termination and for stealable
+	// work, and only then blocks. Whatever happens after the channel is taken
+	// closes it, so the stage ends as soon as its last batch retires.
+	for {
+		r.ex.idle.Add(1)
+		wake := r.ex.wakeChan()
 		if r.ex.firstErrFast() != nil {
+			r.ex.idle.Add(-1)
 			r.drainOnError()
 			return
 		}
-		if r.stealOnce() {
-			idle = idleMin
+		if r.ex.done() {
+			r.ex.idle.Add(-1)
+			return
+		}
+		stole := r.stealOnce()
+		if !stole {
+			select {
+			case <-wake:
+			case <-r.ex.ctx.Done():
+			}
+		}
+		r.ex.idle.Add(-1)
+		if stole {
 			if err := r.run(); err != nil {
 				r.ex.setErr(err)
 				r.drainOnError()
 				return
-			}
-		} else {
-			time.Sleep(idle)
-			if idle *= 2; idle > idleMax {
-				idle = idleMax
 			}
 		}
 	}
@@ -220,8 +285,7 @@ func (r *machineRun) loop() {
 // peer machines terminate.
 func (r *machineRun) drainOnError() {
 	if !r.sourceDone {
-		r.sourceDone = true
-		r.ex.sourcesActive.Add(-1)
+		r.retireSource()
 	}
 	for op := range r.queues {
 		for {
@@ -259,8 +323,7 @@ func (r *machineRun) runOp(op int) error {
 		for !r.sourceDone && !r.outFull(0) {
 			if r.ex.stopped() {
 				// Budget exhausted: retire the source as if it had run dry.
-				r.sourceDone = true
-				r.ex.sourcesActive.Add(-1)
+				r.retireSource()
 				break
 			}
 			if r.overMemBudget() {
@@ -277,8 +340,7 @@ func (r *machineRun) runOp(op int) error {
 				return err
 			}
 			if !ok {
-				r.sourceDone = true
-				r.ex.sourcesActive.Add(-1)
+				r.retireSource()
 				break
 			}
 			r.enqueue(0, b)
@@ -418,7 +480,7 @@ func (r *machineRun) terminal(b *dataflow.Batch) error {
 func (r *machineRun) stealOnce() bool {
 	runs := r.ex.runs
 	n := len(runs)
-	start := r.rng.Intn(n)
+	start := r.rng.IntN(n)
 	for i := 0; i < n; i++ {
 		v := runs[(start+i)%n]
 		if v == r {

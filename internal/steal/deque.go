@@ -5,7 +5,7 @@
 package steal
 
 import (
-	"math/rand"
+	"math/rand/v2"
 	"sync"
 )
 
@@ -82,7 +82,7 @@ func NewPool(n int, seed int64) *Pool {
 	p := &Pool{Deques: make([]*Deque, n), rng: make([]*rand.Rand, n)}
 	for i := range p.Deques {
 		p.Deques[i] = &Deque{}
-		p.rng[i] = rand.New(rand.NewSource(seed + int64(i)))
+		p.rng[i] = rand.New(rand.NewPCG(uint64(seed+int64(i)), 0))
 	}
 	return p
 }
@@ -94,7 +94,7 @@ func (p *Pool) Next(w int) (t Task, ok, stole bool) {
 		return t, true, false
 	}
 	n := len(p.Deques)
-	start := p.rng[w].Intn(n)
+	start := p.rng[w].IntN(n)
 	for i := 0; i < n; i++ {
 		v := (start + i) % n
 		if v == w {
